@@ -11,16 +11,17 @@
 //! * **prefix-shared shrink** — explain on, probes materialized in
 //!   batches through the snapshot engine's prefix-sharing replay, so
 //!   probes that share an op prefix share COW nodes;
-//! * **per-probe shrink** — the reference engine: every probe replays
-//!   from the baseline on its own. The gap between the last two is the
-//!   prefix-sharing win on shrink workloads (same shape as Figure 10's
-//!   replay-engine gap, but over ddmin's probe sets instead of the
-//!   exhaustive state list).
+//! * **per-probe shrink** — the whole check under
+//!   [`Engine::Reference`]: every probe replays from the baseline on
+//!   its own, and this row also pays the reference engine's
+//!   crash-state materialization (deep clone, full-prefix replay and
+//!   recovery per state). The gap between the last two is therefore
+//!   an upper bound on the prefix-sharing win on shrink workloads.
 //!
 //! The cell is ARVR on BeeGFS — two REPRODUCED bugs, so every sample
 //! includes two full shrink runs.
 
-use paracrash::{check_stack, CheckConfig, ReplayEngine};
+use paracrash::{check_stack, CheckConfig, Engine};
 use pc_rt::bench::{black_box, Bench};
 use workloads::{FsKind, Params, Program};
 
@@ -41,13 +42,12 @@ pub fn register(b: &mut Bench) {
 
     let prefix = CheckConfig {
         explain: true,
-        explain_engine: ReplayEngine::PrefixShared,
         ..CheckConfig::paper_default()
     };
     b.bench("explain/shrink/prefix-shared", || run(&prefix));
 
     let per_probe = CheckConfig {
-        explain_engine: ReplayEngine::PerProbe,
+        engine: Engine::Reference,
         ..prefix.clone()
     };
     b.bench("explain/shrink/per-probe", || run(&per_probe));

@@ -48,7 +48,7 @@ pub fn register(b: &mut Bench) {
     }
     // Snapshot-engine comparison over an exhaustive (k = 1) crash-state
     // enumeration — exactly the two code paths `check_stack` switches
-    // between on `PC_NAIVE_SNAPSHOTS` (tests/snapshot_equivalence.rs
+    // between on `CheckConfig::engine` (tests/snapshot_equivalence.rs
     // asserts they produce bit-identical reports). Two levels per cell:
     //
     // * `materialize`: produce every crash state's pre-recovery server

@@ -10,10 +10,9 @@
 //!   O(1) COW forks materializes every state, and recovery runs once
 //!   per *subtree representative* (states with identical storage
 //!   sequences share their recovered view, `SnapshotPlan::rep`).
-//! * `engine-oracle` — the pre-refactor composition
-//!   (`PC_NAIVE_SNAPSHOTS=1` + `PC_NAIVE_BATCH=1`): every state deep-
-//!   clones the baseline, replays its full persisted prefix, and runs
-//!   its own recovery.
+//! * `engine-oracle` — the pre-refactor composition that
+//!   `Engine::Reference` runs: every state deep-clones the baseline,
+//!   replays its full persisted prefix, and runs its own recovery.
 //!
 //! Both loops fold every state's view digest, so neither can skip
 //! verdict work. The 64/128/256-server points run the full checker

@@ -79,7 +79,7 @@ use paracrash::telemetry::{chrome_trace, telemetry_json};
 use paracrash::CheckConfig;
 use pc_bench::campaign::{run_campaign, CampaignOptions};
 use pc_bench::fuzz_driver::{fuzz_campaign, parse_modes, FuzzOptions};
-use pc_bench::{render_bug, run_program_swept};
+use pc_bench::{default_config, render_bug, run_program_swept};
 use simnet::FaultConfig;
 use std::time::Duration;
 use workloads::{FsKind, Params, Program};
@@ -678,12 +678,15 @@ fn main() {
     let start = std::time::Instant::now();
     let cli_span = pc_rt::obs::span_cat("cli.run", "cli");
 
-    let mut cfg = CheckConfig::paper_default();
+    let mut cfg = default_config();
     if let Some(path) = config_path {
         let text = std::fs::read_to_string(&path)
             .unwrap_or_else(|e| die(format_args!("cannot read {path}: {e}")));
-        cfg = CheckConfig::parse(&text)
-            .unwrap_or_else(|e| die(format_args!("bad configuration {path}: {e}")));
+        cfg = CheckConfig {
+            engine: cfg.engine,
+            ..CheckConfig::parse(&text)
+                .unwrap_or_else(|e| die(format_args!("bad configuration {path}: {e}")))
+        };
     }
     cfg.fail_fast |= fail_fast;
     if let Some(dir) = &explain_out {

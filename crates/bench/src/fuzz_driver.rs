@@ -96,7 +96,7 @@ impl FuzzOptions {
     /// its pinned report) counts distinct crash states, not just
     /// verdict classes.
     pub fn pr_tier() -> FuzzOptions {
-        let mut cfg = CheckConfig::paper_default();
+        let mut cfg = crate::default_config();
         cfg.collect_rep_digests = true;
         FuzzOptions {
             bound: 2,

@@ -17,7 +17,9 @@
 //! `cargo run --release -p pc-bench --bin bench -- [filter] [--json PATH]`.
 
 use h5sim::json::Json;
-use paracrash::{check_stack, CheckConfig, CheckOutcome, ExploreMode, Inconsistency, LayerVerdict};
+use paracrash::{
+    check_stack, CheckConfig, CheckOutcome, Engine, ExploreMode, Inconsistency, LayerVerdict,
+};
 use pc_rt::bench::Sample;
 use workloads::{FsKind, Params, Program};
 
@@ -262,9 +264,22 @@ pub fn params_from_args() -> Params {
     }
 }
 
-/// Default checker configuration for the harnesses.
+/// Default checker configuration for the harnesses: the paper's
+/// defaults with the engine named by `PC_ENGINE` (`fast`, the default,
+/// or `reference`). This is the only place the binaries read
+/// `PC_ENGINE`; an unknown value exits 2 with a one-line error.
 pub fn default_config() -> CheckConfig {
-    CheckConfig::paper_default()
+    let engine = match std::env::var("PC_ENGINE") {
+        Err(_) => Engine::Fast,
+        Ok(v) => Engine::parse(&v).unwrap_or_else(|| {
+            pc_rt::pc_error!("bad PC_ENGINE {v:?}: expected fast or reference");
+            std::process::exit(2);
+        }),
+    };
+    CheckConfig {
+        engine,
+        ..CheckConfig::paper_default()
+    }
 }
 
 /// Render one inconsistency like a Table 3 row body.
@@ -291,7 +306,7 @@ pub fn run_with_mode(
 ) -> CheckOutcome {
     let cfg = CheckConfig {
         mode,
-        ..CheckConfig::paper_default()
+        ..default_config()
     };
     run_program(program, fs, params, &cfg).outcome
 }

@@ -15,7 +15,7 @@
 //!    the pattern for pruning (§5.3).
 
 use crate::classify::{classify, BugSignature};
-use crate::config::CheckConfig;
+use crate::config::{CheckConfig, Engine};
 use crate::emulate::crash_states;
 use crate::explore::{
     is_data_chunk, server_fingerprints, tsp_order, CostModel, ExploreStats, Pruner, ReplayCache,
@@ -23,7 +23,7 @@ use crate::explore::{
 use crate::model::Model;
 use crate::persist::PersistAnalysis;
 use crate::report::op_detail;
-use crate::snapshot::{naive_batch, naive_snapshots, prepare_states, SnapshotPlan};
+use crate::snapshot::{prepare_states, SnapshotPlan};
 use crate::stack::{replay_h5, replay_pfs, Stack, StackFactory};
 use h5sim::{check as h5check, check_lenient, h5clear, H5Logical};
 use pfs::{recover_and_mount, PfsCall, PfsView};
@@ -84,8 +84,8 @@ pub struct CheckOutcome {
     /// Digests of the distinct *representative* pre-recovery crash
     /// states (sorted, deduplicated) — the Pathfinder-style state
     /// identities the campaign corpus dedups on. Filled only when
-    /// `cfg.collect_rep_digests` is set; engine-invariant (prefix-tree
-    /// and `PC_NAIVE_SNAPSHOTS=1` agree). Like `explanations`, never
+    /// `cfg.collect_rep_digests` is set; engine-invariant (the fast and
+    /// reference engines agree). Like `explanations`, never
     /// part of [`CheckOutcome::canonical_report`].
     pub rep_digests: Vec<u64>,
 }
@@ -326,28 +326,28 @@ pub fn check_stack(stack: &Stack, factory: &StackFactory, cfg: &CheckConfig) -> 
         (legal_views, legal_h5)
     };
 
-    // Crash-state materialization engine. The default (COW) engine
+    // Crash-state materialization engine. The fast engine
     // pre-materializes every state as an O(1) fork off a shared prefix
-    // tree of persisted-event sequences; the `PC_NAIVE_SNAPSHOTS=1`
-    // oracle instead deep-clones the baseline and replays each state's
-    // full prefix, reproducing the historical clone-everything engine.
+    // tree of persisted-event sequences; the reference engine (no plan)
+    // instead deep-clones the baseline and replays each state's full
+    // prefix, reproducing the historical clone-everything engine.
     // Both apply the exact same events in the exact same order, so the
     // materialized states — and every verdict derived from them — are
     // bit-identical (asserted by `tests/snapshot_equivalence.rs`).
     let stage = pc_rt::obs::span_cat("check.materialize", "check");
-    let plan: Option<SnapshotPlan> = if naive_snapshots() {
-        None
-    } else {
-        Some(prepare_states(rec, stack.pfs.baseline(), &states))
+    let plan: Option<SnapshotPlan> = match cfg.engine {
+        Engine::Fast => Some(prepare_states(rec, stack.pfs.baseline(), &states)),
+        Engine::Reference => None,
     };
     drop(stage);
 
     // Representative-state identities for the campaign corpus: one
     // digest per distinct storage-event sequence, of the materialized
     // (pre-recovery, pre-widening) snapshot. The prefix-tree engine
-    // reads them straight off its terminals (`rep[i] == i`); the naive
-    // oracle materializes each distinct sequence once — identical
-    // digests by the same equivalence argument as the snapshots
+    // reads them straight off its terminals (`rep[i] == i`); the
+    // reference engine materializes each distinct sequence once and
+    // digests it with the string-walk reference digest — identical
+    // values by the same equivalence argument as the snapshots
     // themselves.
     let rep_digests: Vec<u64> = if cfg.collect_rep_digests {
         let _stage = pc_rt::obs::span_cat("check.rep_digests", "check");
@@ -368,7 +368,7 @@ pub fn check_stack(stack: &Stack, factory: &StackFactory, cfg: &CheckConfig) -> 
                     if seen.insert(seq.clone()) {
                         let mut st = stack.pfs.baseline().deep_clone();
                         st.apply_events(rec, seq);
-                        digests.push(st.digest());
+                        digests.push(st.digest_reference());
                     }
                 }
                 digests
@@ -400,11 +400,9 @@ pub fn check_stack(stack: &Stack, factory: &StackFactory, cfg: &CheckConfig) -> 
     // per-state cost — runs once per representative and the recovered
     // view is shared. A state stays on the per-state path when fault
     // widening can make its on-disk image unique (torn writes with live
-    // victims), when the naive snapshot engine is active (no plan), or
-    // under the `PC_NAIVE_BATCH=1` oracle. Recovery is deterministic on
-    // the store state, so both paths produce bit-identical views
-    // (asserted by `tests/snapshot_equivalence.rs`).
-    let per_state_recovery = naive_batch();
+    // victims), and under the reference engine (no plan). Recovery is
+    // deterministic on the store state, so both paths produce
+    // bit-identical views (asserted by `tests/snapshot_equivalence.rs`).
     let shared_views: Vec<OnceLock<PfsView>> = (0..states.len()).map(|_| OnceLock::new()).collect();
     let verdict_of = |i: usize,
                       legal_views: &[PfsView],
@@ -413,7 +411,7 @@ pub fn check_stack(stack: &Stack, factory: &StackFactory, cfg: &CheckConfig) -> 
         let state = &states[i];
         let owned: PfsView;
         let view: &PfsView = match &plan {
-            Some(plan) if !per_state_recovery && (!torn || state.victims.is_empty()) => {
+            Some(plan) if !torn || state.victims.is_empty() => {
                 let rep = plan.rep[i];
                 if rep != i {
                     pc_rt::obs::count("check.views_shared", 1);

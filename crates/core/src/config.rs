@@ -7,11 +7,46 @@
 //! [`CheckConfig::parse`] reads the same key-value format, and
 //! [`paper_default`](CheckConfig::paper_default) mirrors Table 2.
 
-use crate::explain::ReplayEngine;
 use crate::explore::ExploreMode;
 use crate::model::Model;
 use h5sim::ClearOpts;
 use simnet::FaultConfig;
+
+/// Which implementation of the checker's hot paths a run uses. Both
+/// must produce byte-identical reports; the reference engine exists to
+/// check that the fast one does.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Engine {
+    /// COW prefix-shared crash-state snapshots, one recovery per
+    /// snapshot-plan representative, memoized interned digests, and
+    /// prefix-shared explain shrinking.
+    Fast,
+    /// The oracle: every crash state deep-clones the baseline, replays
+    /// its full persisted prefix and runs its own recovery;
+    /// representative digests use the string-walk
+    /// `FsState::digest_reference`; explain shrinking replays each probe
+    /// on its own.
+    Reference,
+}
+
+impl Engine {
+    /// The `PC_ENGINE` spelling.
+    pub fn as_str(&self) -> &'static str {
+        match self {
+            Engine::Fast => "fast",
+            Engine::Reference => "reference",
+        }
+    }
+
+    /// Parse the `PC_ENGINE` spelling.
+    pub fn parse(s: &str) -> Option<Engine> {
+        match s {
+            "fast" => Some(Engine::Fast),
+            "reference" => Some(Engine::Reference),
+            _ => None,
+        }
+    }
+}
 
 /// Everything a check run needs besides the traced stack itself.
 #[derive(Debug, Clone)]
@@ -52,10 +87,9 @@ pub struct CheckConfig {
     /// state diff. Off by default — the explain pass re-runs recovery
     /// on shrinking probes, which costs real time on buggy cells.
     pub explain: bool,
-    /// How witness-shrinking probes are materialized (prefix-shared COW
-    /// batches by default; `per-probe` is the reference engine the
-    /// explain bench compares against).
-    pub explain_engine: ReplayEngine,
+    /// Fast or reference hot paths. Programmatic only: the binaries
+    /// read it from `PC_ENGINE`, never from the configuration file.
+    pub engine: Engine,
     /// Collect the digests of the distinct *representative* crash
     /// states into [`crate::check::CheckOutcome::rep_digests`]
     /// (Pathfinder-style state identity for the campaign corpus). Off
@@ -69,6 +103,11 @@ impl Default for CheckConfig {
     fn default() -> Self {
         Self::paper_default()
     }
+}
+
+/// A server count: a positive integer.
+fn positive(value: &str) -> Option<u32> {
+    value.parse().ok().filter(|&n| n > 0)
 }
 
 impl CheckConfig {
@@ -90,7 +129,7 @@ impl CheckConfig {
             faults: FaultConfig::disabled(),
             fail_fast: false,
             explain: false,
-            explain_engine: ReplayEngine::PrefixShared,
+            engine: Engine::Fast,
             collect_rep_digests: false,
         }
     }
@@ -100,9 +139,9 @@ impl CheckConfig {
     /// Recognized keys: `pfs_model`, `h5_model`, `k`, `mode`,
     /// `h5clear_increase_eof`, `stripe_size`, `meta_servers`,
     /// `storage_servers`, `clients`, `replay_cache_cap`, `faults`
-    /// (a [`FaultConfig::parse_spec`] string), `fail_fast`, `explain`
-    /// and `explain_engine` (`prefix-shared` | `per-probe`). Unknown
-    /// keys are rejected.
+    /// (a [`FaultConfig::parse_spec`] string), `fail_fast` and
+    /// `explain`. Unknown keys, `k > 3` and zero server counts are
+    /// rejected.
     pub fn parse(text: &str) -> Result<Self, String> {
         let mut cfg = Self::paper_default();
         for (lineno, line) in text.lines().enumerate() {
@@ -118,14 +157,24 @@ impl CheckConfig {
             match key {
                 "pfs_model" => cfg.pfs_model = Model::parse(value).ok_or_else(|| bad("model"))?,
                 "h5_model" => cfg.h5_model = Model::parse(value).ok_or_else(|| bad("model"))?,
-                "k" => cfg.k = value.parse().map_err(|_| bad("k"))?,
+                "k" => {
+                    cfg.k = value
+                        .parse()
+                        .ok()
+                        .filter(|&k| k <= 3)
+                        .ok_or_else(|| bad("k (at most 3)"))?
+                }
                 "mode" => cfg.mode = ExploreMode::parse(value).ok_or_else(|| bad("mode"))?,
                 "h5clear_increase_eof" => {
                     cfg.clear_opts.increase_eof = value.parse().map_err(|_| bad("bool"))?
                 }
                 "stripe_size" => cfg.stripe_size = value.parse().map_err(|_| bad("size"))?,
-                "meta_servers" => cfg.servers.0 = value.parse().map_err(|_| bad("count"))?,
-                "storage_servers" => cfg.servers.1 = value.parse().map_err(|_| bad("count"))?,
+                "meta_servers" => {
+                    cfg.servers.0 = positive(value).ok_or_else(|| bad("server count"))?
+                }
+                "storage_servers" => {
+                    cfg.servers.1 = positive(value).ok_or_else(|| bad("server count"))?
+                }
                 "clients" => cfg.clients = value.parse().map_err(|_| bad("count"))?,
                 "replay_cache_cap" => {
                     cfg.replay_cache_cap = value.parse().map_err(|_| bad("count"))?
@@ -136,9 +185,6 @@ impl CheckConfig {
                 }
                 "fail_fast" => cfg.fail_fast = value.parse().map_err(|_| bad("bool"))?,
                 "explain" => cfg.explain = value.parse().map_err(|_| bad("bool"))?,
-                "explain_engine" => {
-                    cfg.explain_engine = ReplayEngine::parse(value).ok_or_else(|| bad("engine"))?
-                }
                 other => return Err(format!("line {}: unknown key {other}", lineno + 1)),
             }
         }
@@ -152,7 +198,7 @@ impl CheckConfig {
              h5clear_increase_eof = {}\nstripe_size = {}\n\
              meta_servers = {}\nstorage_servers = {}\nclients = {}\n\
              replay_cache_cap = {}\nfaults = {}\nfail_fast = {}\n\
-             explain = {}\nexplain_engine = {}\n",
+             explain = {}\n",
             self.pfs_model.as_str(),
             self.h5_model.as_str(),
             self.k,
@@ -166,7 +212,6 @@ impl CheckConfig {
             self.faults.render_spec(),
             self.fail_fast,
             self.explain,
-            self.explain_engine.as_str(),
         )
     }
 }
@@ -213,15 +258,20 @@ fail_fast = true
     }
 
     #[test]
-    fn parse_explain_knobs() {
-        let cfg = CheckConfig::parse("explain = true\nexplain_engine = per-probe\n").unwrap();
+    fn parse_explain_knob() {
+        let cfg = CheckConfig::parse("explain = true\n").unwrap();
         assert!(cfg.explain);
-        assert_eq!(cfg.explain_engine, ReplayEngine::PerProbe);
-        let rt = CheckConfig::parse(&cfg.render()).unwrap();
-        assert!(rt.explain);
-        assert_eq!(rt.explain_engine, ReplayEngine::PerProbe);
+        assert!(CheckConfig::parse(&cfg.render()).unwrap().explain);
         assert!(!CheckConfig::paper_default().explain);
-        assert!(CheckConfig::parse("explain_engine = wat").is_err());
+    }
+
+    #[test]
+    fn engine_round_trips() {
+        for e in [Engine::Fast, Engine::Reference] {
+            assert_eq!(Engine::parse(e.as_str()), Some(e));
+        }
+        assert_eq!(Engine::parse("wat"), None);
+        assert_eq!(CheckConfig::paper_default().engine, Engine::Fast);
     }
 
     #[test]
@@ -248,5 +298,12 @@ fail_fast = true
         assert!(CheckConfig::parse("pfs_model = wat").is_err());
         assert!(CheckConfig::parse("unknown_key = 1").is_err());
         assert!(CheckConfig::parse("no equals sign").is_err());
+        // Values the checker would panic on downstream.
+        assert!(CheckConfig::parse("k = 7").is_err());
+        assert!(CheckConfig::parse("k = 3").is_ok());
+        assert!(CheckConfig::parse("meta_servers = 0").is_err());
+        assert!(CheckConfig::parse("storage_servers = 0").is_err());
+        // The engine is not a configuration-file key.
+        assert!(CheckConfig::parse("engine = reference").is_err());
     }
 }

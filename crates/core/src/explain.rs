@@ -15,7 +15,8 @@
 //!    still fails. Probe states are materialized in per-round batches
 //!    through the prefix-sharing snapshot engine
 //!    ([`crate::snapshot::prepare_states`]), so sibling probes share
-//!    their common persisted prefix (COW forks, not replays).
+//!    their common persisted prefix (COW forks, not replays). The
+//!    reference engine replays each probe on its own instead.
 //! 2. **Causal graph** — the happens-before graph over the witness
 //!    state's update universe, transitively reduced for readability,
 //!    with per-node vector clocks ([`simnet::assign_clocks`]), edges
@@ -33,7 +34,7 @@
 
 use crate::check::{h5_verdict, Inconsistency, LayerVerdict};
 use crate::classify::{extended_universe, BugSignature};
-use crate::config::CheckConfig;
+use crate::config::{CheckConfig, Engine};
 use crate::emulate::CrashState;
 use crate::model::Model;
 use crate::persist::PersistAnalysis;
@@ -48,38 +49,6 @@ use simnet::{ClusterTopology, VectorClock};
 use std::collections::BTreeSet;
 use std::fmt::Write as _;
 use tracer::{BitSet, CausalityGraph, EventId, Process, Recorder};
-
-/// How witness-shrinking probes are materialized.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ReplayEngine {
-    /// Batch each ddmin round through the prefix-sharing snapshot plan:
-    /// probes sharing a persisted prefix share its materialization
-    /// (the default; same engine as crash-state checking).
-    PrefixShared,
-    /// Fork the baseline and replay each probe's full persisted set
-    /// independently — the reference engine the `bench -- explain`
-    /// suite compares against.
-    PerProbe,
-}
-
-impl ReplayEngine {
-    /// Config-file spelling.
-    pub fn as_str(&self) -> &'static str {
-        match self {
-            ReplayEngine::PrefixShared => "prefix-shared",
-            ReplayEngine::PerProbe => "per-probe",
-        }
-    }
-
-    /// Parse the config-file spelling.
-    pub fn parse(s: &str) -> Option<ReplayEngine> {
-        match s {
-            "prefix-shared" => Some(ReplayEngine::PrefixShared),
-            "per-probe" => Some(ReplayEngine::PerProbe),
-            _ => None,
-        }
-    }
-}
 
 /// One operation of a minimal witness.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -154,7 +123,7 @@ pub struct GraphEdge {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ShrinkStats {
     /// Engine the probes ran on.
-    pub engine: ReplayEngine,
+    pub engine: Engine,
     /// Recovery-and-compare probes executed.
     pub probes: usize,
     /// ddmin rounds.
@@ -343,7 +312,7 @@ fn shrink_witness(
     universe: &BitSet,
     d0: &[EventId],
 ) -> (Vec<EventId>, BitSet, ShrinkStats) {
-    let engine = ctx.cfg.explain_engine;
+    let engine = ctx.cfg.engine;
     let rec = &ctx.stack.rec;
     let baseline = ctx.stack.pfs.baseline();
     let mut stats = ShrinkStats {
@@ -370,7 +339,7 @@ fn shrink_witness(
         let sets: Vec<BitSet> = cands.iter().map(|c| persisted_for(c)).collect();
         stats.probes += sets.len();
         let prepared: Vec<ServerStates> = match engine {
-            ReplayEngine::PrefixShared => {
+            Engine::Fast => {
                 let synth: Vec<CrashState> = sets
                     .iter()
                     .map(|p| CrashState {
@@ -384,7 +353,7 @@ fn shrink_witness(
                 stats.ops_replayed += plan.stats.ops_replayed;
                 plan.prepared
             }
-            ReplayEngine::PerProbe => sets
+            Engine::Reference => sets
                 .iter()
                 .map(|p| {
                     stats.forks += 1;
@@ -1018,7 +987,7 @@ mod tests {
                 tree: vec!["server 2: /chunks/f0.0: lost in crash".into()],
             },
             shrink: ShrinkStats {
-                engine: ReplayEngine::PrefixShared,
+                engine: Engine::Fast,
                 probes: 6,
                 rounds: 2,
                 original_ops: 3,
@@ -1028,14 +997,6 @@ mod tests {
                 reproduced: true,
             },
         }
-    }
-
-    #[test]
-    fn replay_engine_round_trips() {
-        for e in [ReplayEngine::PrefixShared, ReplayEngine::PerProbe] {
-            assert_eq!(ReplayEngine::parse(e.as_str()), Some(e));
-        }
-        assert_eq!(ReplayEngine::parse("wat"), None);
     }
 
     #[test]

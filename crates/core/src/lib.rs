@@ -52,12 +52,12 @@ pub mod telemetry;
 
 pub use check::{check_stack, CheckOutcome, Inconsistency, LayerVerdict};
 pub use classify::{BugKind, BugSignature};
-pub use config::CheckConfig;
+pub use config::{CheckConfig, Engine};
 pub use emulate::{crash_states, CrashState};
-pub use explain::{BugExplanation, EdgeKind, ReplayEngine};
+pub use explain::{BugExplanation, EdgeKind};
 pub use explore::{ExploreMode, ExploreStats};
 pub use fuzz::{bounded_sequences, sample_indices, FuzzCorpus, FuzzFinding};
 pub use model::Model;
 pub use persist::PersistAnalysis;
-pub use snapshot::{naive_snapshots, prepare_states, SnapshotPlan, SnapshotStats};
+pub use snapshot::{prepare_states, SnapshotPlan, SnapshotStats};
 pub use stack::{Stack, StackFactory};

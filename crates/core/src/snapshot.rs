@@ -25,34 +25,13 @@
 //! ends up with *its exact persisted sequence applied in the exact same
 //! order*, the materialized states — and therefore all verdicts, bug
 //! reports, state counts and simulated costs — are bit-identical to the
-//! naive engine's. The naive engine stays available behind
-//! `PC_NAIVE_SNAPSHOTS=1` as a cross-check oracle (see
-//! `tests/snapshot_equivalence.rs`).
+//! naive engine's. The naive engine stays available as
+//! [`Engine::Reference`](crate::config::Engine::Reference), a
+//! cross-check oracle (see `tests/snapshot_equivalence.rs`).
 
 use crate::emulate::CrashState;
 use pfs::ServerStates;
 use tracer::{EventId, Payload, Recorder};
-
-/// `true` when the `PC_NAIVE_SNAPSHOTS=1` oracle engine is selected:
-/// every crash state deep-clones the baseline and replays its full
-/// persisted prefix, reproducing the historical clone-everything cost.
-pub fn naive_snapshots() -> bool {
-    std::env::var("PC_NAIVE_SNAPSHOTS")
-        .map(|v| v == "1")
-        .unwrap_or(false)
-}
-
-/// `true` when the `PC_NAIVE_BATCH=1` oracle is selected: the checker
-/// runs recovery and mounting for every crash state individually
-/// instead of sharing one recovered view across all the states of a
-/// prefix-tree subtree with identical storage sequences. Both engines
-/// recover the same prepared snapshots, so their verdicts are
-/// bit-identical (asserted by `tests/snapshot_equivalence.rs`).
-pub fn naive_batch() -> bool {
-    std::env::var("PC_NAIVE_BATCH")
-        .map(|v| v == "1")
-        .unwrap_or(false)
-}
 
 /// Accounting of one prefix-sharing materialization pass.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -80,8 +59,7 @@ pub struct SnapshotPlan {
     /// unique). States with equal representatives have *identical*
     /// `prepared` snapshots, so the checker batches recovery per
     /// representative — unless fault widening makes a state's on-disk
-    /// image unique again, or `PC_NAIVE_BATCH=1` selects the per-state
-    /// oracle.
+    /// image unique again.
     pub rep: Vec<usize>,
     /// Sharing accounting.
     pub stats: SnapshotStats,
@@ -284,15 +262,5 @@ mod tests {
         let plan = prepare_states(&rec, &baseline, &states);
         assert_eq!(plan.stats.naive_ops, 8);
         assert_eq!(plan.stats.ops_replayed, 5);
-    }
-
-    #[test]
-    fn naive_snapshots_reads_env() {
-        // Only asserts the parse contract on the current env value; the
-        // equivalence suite exercises the actual toggle.
-        let on = std::env::var("PC_NAIVE_SNAPSHOTS")
-            .map(|v| v == "1")
-            .unwrap_or(false);
-        assert_eq!(naive_snapshots(), on);
     }
 }

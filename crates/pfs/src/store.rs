@@ -117,6 +117,15 @@ impl Store {
         }
     }
 
+    /// [`Store::digest`] through the reference engine's string-walk
+    /// [`FsState::digest_reference`]; same value.
+    pub fn digest_reference(&self) -> u64 {
+        match self {
+            Store::Fs { state, .. } => state.digest_reference(),
+            Store::Block(dev) => dev.digest(),
+        }
+    }
+
     /// O(1) copy-on-write snapshot of this store (shares all nodes with
     /// `self` until either side mutates).
     pub fn fork(&self) -> Store {
@@ -129,7 +138,7 @@ impl Store {
         }
     }
 
-    /// Structurally independent copy (the `PC_NAIVE_SNAPSHOTS=1` oracle's
+    /// Structurally independent copy (the reference engine's
     /// clone-everything cost model).
     pub fn deep_clone(&self) -> Store {
         match self {
@@ -194,9 +203,19 @@ impl ServerStates {
     /// hash equal whatever engine materialized them — the key the
     /// campaign's representative-state corpus dedups on.
     pub fn digest(&self) -> u64 {
+        self.fold_digests(Store::digest)
+    }
+
+    /// [`ServerStates::digest`] folded over [`Store::digest_reference`]
+    /// (the reference engine's representative-state digest); same value.
+    pub fn digest_reference(&self) -> u64 {
+        self.fold_digests(Store::digest_reference)
+    }
+
+    fn fold_digests(&self, digest: fn(&Store) -> u64) -> u64 {
         let mut h = 0xcbf2_9ce4_8422_2325u64;
         for store in &self.stores {
-            for byte in store.digest().to_le_bytes() {
+            for byte in digest(store).to_le_bytes() {
                 h ^= u64::from(byte);
                 h = h.wrapping_mul(0x0000_0100_0000_01b3);
             }
@@ -273,24 +292,10 @@ impl ServerStates {
         applied
     }
 
-    /// Digest over all servers, for crash-state dedup and for the
-    /// "distance" metric of the TSP visiting order (§5.3: the distance
-    /// between two crash states is the number of servers whose state
-    /// differs).
+    /// [`Store::digest`] of every server, in server order. The explain
+    /// state diff compares these to skip servers whose state matches.
     pub fn per_server_digests(&self) -> Vec<u64> {
         self.stores.iter().map(|s| s.digest()).collect()
-    }
-
-    /// Number of servers whose state differs from `other` — the TSP edge
-    /// weight of §5.3. Compares memoized per-store digests directly:
-    /// the visiting-order pass evaluates O(n²) edges, so this path must
-    /// not allocate per edge.
-    pub fn server_distance(&self, other: &ServerStates) -> usize {
-        self.stores
-            .iter()
-            .zip(&other.stores)
-            .filter(|(a, b)| a.digest() != b.digest())
-            .count()
     }
 
     /// O(1) copy-on-write snapshot of the whole cluster: the simulation
@@ -302,8 +307,8 @@ impl ServerStates {
         }
     }
 
-    /// Structurally independent copy of every server (the
-    /// `PC_NAIVE_SNAPSHOTS=1` oracle's clone-everything cost model).
+    /// Structurally independent copy of every server (the reference
+    /// engine's clone-everything cost model).
     pub fn deep_clone(&self) -> ServerStates {
         ServerStates {
             stores: self.stores.iter().map(Store::deep_clone).collect(),
@@ -361,13 +366,9 @@ mod tests {
     }
 
     #[test]
-    fn server_distance_counts_differing_servers() {
-        let mut a = ServerStates::all_fs(3, JournalMode::Data);
-        let b = a.clone();
-        assert_eq!(a.server_distance(&b), 0);
-        a.server_mut(1).as_fs_mut().creat("/x").unwrap();
-        assert_eq!(a.server_distance(&b), 1);
-        a.server_mut(2).as_fs_mut().creat("/y").unwrap();
-        assert_eq!(a.server_distance(&b), 2);
+    fn reference_digest_matches_digest() {
+        let mut s = ServerStates::all_fs(2, JournalMode::Data);
+        s.server_mut(1).as_fs_mut().creat("/x").unwrap();
+        assert_eq!(s.digest_reference(), s.digest());
     }
 }

@@ -16,8 +16,7 @@
 //!   available parallelism.
 //! * [`intern`] — process-global symbol interning (`Sym`, a 4-byte id)
 //!   for the path components and structure labels the simulation layers
-//!   key their maps by; `PC_NAIVE_SYMS=1` selects the string-keyed
-//!   oracle algorithms for equivalence checking.
+//!   key their maps by.
 //! * [`rng`] — a deterministic SplitMix64-seeded xoshiro256\*\* PRNG
 //!   (replaces `rand`). Same seed, same stream, on every platform.
 //! * [`proptest`] — a seeded property-testing harness with

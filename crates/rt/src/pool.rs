@@ -315,7 +315,8 @@ impl<'env> Sched<'env> {
 
     fn push(&self, job: Job<'env>) {
         let w = self.next.fetch_add(1, Ordering::Relaxed) % self.deques.len();
-        self.deques[w].lock().unwrap().push_back(job);
+        // Count the job before it becomes claimable: a worker that claims
+        // it first would otherwise decrement the count below zero.
         let mut st = self.state.lock().unwrap();
         st.0 += 1;
         if self.telemetry {
@@ -323,6 +324,7 @@ impl<'env> Sched<'env> {
             crate::obs::gauge_max("pool.max_queue_depth", st.0 as u64);
         }
         drop(st);
+        self.deques[w].lock().unwrap().push_back(job);
         self.wake.notify_one();
     }
 

@@ -8,7 +8,7 @@
 
 use crate::error::{FsError, FsResult};
 use crate::ops::FsOp;
-use pc_rt::intern::{naive_syms, Sym};
+use pc_rt::intern::Sym;
 use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
 use std::fmt;
@@ -140,8 +140,8 @@ impl FsState {
     }
 
     /// A structurally independent copy sharing no nodes with `self`. Only
-    /// the `PC_NAIVE_SNAPSHOTS=1` oracle uses this — it reproduces the
-    /// historical clone-everything cost model.
+    /// the reference engine uses this — it reproduces the historical
+    /// clone-everything cost model.
     pub fn deep_clone(&self) -> FsState {
         FsState {
             inodes: Arc::new(
@@ -578,20 +578,13 @@ impl FsState {
     /// structural comparison. Memoized: repeated digests of an unmutated
     /// state (and of its unmutated forks) are O(1).
     ///
-    /// The digest *value* is identical in both sym modes: the fast path
-    /// collects the tree in one DFS while the `PC_NAIVE_SYMS=1` oracle
-    /// re-resolves every walked path (the historical algorithm), but
-    /// both hash the same resolved-string stream. Digest-derived
-    /// orderings (state dedup, cost-model fingerprints) therefore can't
-    /// diverge between modes.
+    /// The value equals [`Self::digest_reference`]: the fast path
+    /// collects the tree in one DFS, the reference re-resolves every
+    /// walked path, and both hash the same resolved-string stream.
+    /// Digest-derived orderings (state dedup, cost-model fingerprints)
+    /// therefore can't diverge between engines.
     pub fn digest(&self) -> u64 {
-        *self.digest_memo.get_or_init(|| {
-            if naive_syms() {
-                self.compute_digest_naive()
-            } else {
-                self.compute_digest()
-            }
-        })
+        *self.digest_memo.get_or_init(|| self.compute_digest())
     }
 
     /// Hash xattrs exactly as the historical `BTreeMap<String, Vec<u8>>`
@@ -621,7 +614,7 @@ impl FsState {
         // numbers: two states reached by different op interleavings must
         // compare equal when their visible trees match. One DFS collects
         // every (path, node) pair; sorting by path reproduces the walk()
-        // order (and thus the exact naive hash stream) without
+        // order (and thus the exact reference hash stream) without
         // re-resolving each path from the root.
         let mut nodes: Vec<(String, &Inode)> = Vec::new();
         self.collect_nodes(ROOT_INO, "", &mut nodes);
@@ -648,9 +641,10 @@ impl FsState {
     }
 
     /// The historical string-keyed digest: walk the sorted path list,
-    /// re-resolve each path, hash. Kept verbatim as the `PC_NAIVE_SYMS`
-    /// oracle; must produce the same value as [`Self::compute_digest`].
-    fn compute_digest_naive(&self) -> u64 {
+    /// re-resolve each path, hash. Never memoized. The reference engine
+    /// digests representative states with it; it must produce the same
+    /// value as [`Self::digest`].
+    pub fn digest_reference(&self) -> u64 {
         let mut h = std::collections::hash_map::DefaultHasher::new();
         for path in self.walk() {
             path.hash(&mut h);
@@ -659,93 +653,6 @@ impl FsState {
             }
         }
         h.finish()
-    }
-
-    /// Logical equality: same visible tree (paths, kinds, contents,
-    /// xattrs), ignoring inode numbering. This is the comparison the
-    /// golden-master check uses.
-    ///
-    /// Fast path: structural recursion comparing interned name sets —
-    /// O(1) per component, no path strings built. `PC_NAIVE_SYMS=1`
-    /// runs the historical walk-both-trees comparison instead; the two
-    /// agree because sym↔string is a bijection.
-    pub fn same_tree(&self, other: &FsState) -> bool {
-        if naive_syms() {
-            return self.same_tree_naive(other);
-        }
-        self.same_subtree(ROOT_INO, other, ROOT_INO)
-    }
-
-    fn same_subtree(&self, a: Ino, other: &FsState, b: Ino) -> bool {
-        match (self.inode_ref(a), other.inode_ref(b)) {
-            (
-                Inode::File {
-                    data: da,
-                    xattrs: xa,
-                },
-                Inode::File {
-                    data: db,
-                    xattrs: xb,
-                },
-            ) => da == db && xa == xb,
-            (
-                Inode::Dir {
-                    entries: ea,
-                    xattrs: xa,
-                },
-                Inode::Dir {
-                    entries: eb,
-                    xattrs: xb,
-                },
-            ) => {
-                xa == xb
-                    && ea.len() == eb.len()
-                    && ea.iter().all(|(name, &ca)| {
-                        eb.get(name)
-                            .is_some_and(|&cb| self.same_subtree(ca, other, cb))
-                    })
-            }
-            _ => false,
-        }
-    }
-
-    fn same_tree_naive(&self, other: &FsState) -> bool {
-        let a = self.walk();
-        if a != other.walk() {
-            return false;
-        }
-        for path in &a {
-            let (ia, ib) = (self.resolve(path), other.resolve(path));
-            match (ia, ib) {
-                (Ok(ia), Ok(ib)) => {
-                    let (na, nb) = (self.inode_ref(ia), other.inode_ref(ib));
-                    match (na, nb) {
-                        (
-                            Inode::File {
-                                data: da,
-                                xattrs: xa,
-                            },
-                            Inode::File {
-                                data: db,
-                                xattrs: xb,
-                            },
-                        ) => {
-                            if da != db || xa != xb {
-                                return false;
-                            }
-                        }
-                        (Inode::Dir { xattrs: xa, .. }, Inode::Dir { xattrs: xb, .. }) => {
-                            if xa != xb {
-                                return false;
-                            }
-                        }
-                        _ => return false,
-                    }
-                }
-                _ => return false,
-            }
-        }
-        true
     }
 }
 
@@ -871,7 +778,7 @@ mod tests {
     }
 
     #[test]
-    fn same_tree_ignores_inode_numbers() {
+    fn digest_ignores_inode_numbers() {
         // Build the same logical tree via different op orders.
         let mut a = FsState::new();
         a.creat("/x").unwrap();
@@ -879,10 +786,9 @@ mod tests {
         let mut b = FsState::new();
         b.creat("/y").unwrap();
         b.creat("/x").unwrap();
-        assert!(a.same_tree(&b));
+        assert_ne!(a, b, "inode numbers differ");
         assert_eq!(a.digest(), b.digest());
         b.pwrite("/x", 0, b"!").unwrap();
-        assert!(!a.same_tree(&b));
         assert_ne!(a.digest(), b.digest());
     }
 
@@ -955,7 +861,7 @@ mod tests {
         let snap = fs.clone();
         fs.pwrite("/f", 0, b"mutated").unwrap();
         assert_eq!(snap.read("/f").unwrap(), b"");
-        assert!(!snap.same_tree(&fs));
+        assert_ne!(snap.digest(), fs.digest());
     }
 
     #[test]
@@ -977,15 +883,14 @@ mod tests {
         let fork = fs.fork();
         let deep = fs.deep_clone();
         assert_eq!(fork, deep);
-        assert!(fork.same_tree(&deep));
         assert_eq!(fork.digest(), deep.digest());
     }
 
     #[test]
-    fn fast_digest_matches_naive_digest_value() {
+    fn fast_digest_matches_reference_digest_value() {
         // The interned DFS digest and the historical walk+resolve digest
         // must agree on the exact value (not just equality classes), so
-        // digest-derived orderings can't diverge between sym modes.
+        // digest-derived orderings can't diverge between engines.
         let mut fs = FsState::new();
         fs.mkdir_all("/a/b").unwrap();
         fs.creat("/a/b/f").unwrap();
@@ -995,9 +900,7 @@ mod tests {
         fs.creat("/a!edge").unwrap(); // '!' < '/': DFS order != sorted-path order
         fs.mkdir("/a!edge-dir").unwrap();
         fs.link("/a/b/f", "/a/hard").unwrap();
-        assert_eq!(fs.compute_digest(), fs.compute_digest_naive());
-        assert!(fs.same_tree_naive(&fs.fork()));
-        assert!(fs.same_tree(&fs.fork()));
+        assert_eq!(fs.compute_digest(), fs.digest_reference());
     }
 
     #[test]

@@ -11,9 +11,9 @@
 #      ~/.cargo/registry is sufficient.
 #   3. Hygiene — `cargo fmt --check` and a warning-free build
 #      (RUSTFLAGS="-D warnings").
-#   4. Engine equivalence — the COW replay engine and the
-#      `PC_NAIVE_SNAPSHOTS=1` oracle must report identically, checked
-#      once sequentially (PC_THREADS=1) and once with the thread pool.
+#   4. Engine equivalence — the fast engine and the reference engine
+#      (`CheckConfig::engine`) must report identically, checked once
+#      sequentially (PC_THREADS=1) and once with the thread pool.
 #   5. Telemetry — `paracrash --telemetry-out` must emit files that
 #      re-parse with the vendored JSON reader (both plain and Chrome
 #      trace-event formats, validated by `telemetry-check`), and the
@@ -43,10 +43,11 @@
 #  10. Flag drift — every `--flag` printed by `paracrash --help` must
 #      appear in README.md's flag table.
 #  11. Extreme scale — a 64-server cell must report byte-identically
-#      sequential vs parallel and under both hot-path oracles
-#      (`PC_NAIVE_SYMS=1` string-keyed maps, `PC_NAIVE_BATCH=1`
-#      per-state recovery); the zero-fault matrix must stay 15/15
-#      under both oracles combined; and `scale-check --live` must
+#      sequential vs parallel and under `PC_ENGINE=reference`; under
+#      the reference engine the zero-fault matrix must match the fast
+#      run and stay 15/15, and the PR-tier fuzz sweep (which digests
+#      every representative state) must print the pinned corpus; and
+#      `scale-check --live` must
 #      validate the committed BENCH_scale.json invariants (batched
 #      >= 2x oracle states/sec, sub-linear per-check growth 64->256
 #      servers) with a live run inside a generous 2x band.
@@ -208,8 +209,8 @@ for flag in $(grep -oE -- '--[a-z-]+' "$tmp/help.txt" | sort -u); do
         exit 1
     fi
 done
-# The profiling env knobs ride the same contract as the flags.
-for env_var in PC_PROFILE PC_PROF_HZ; do
+# The profiling and engine env knobs ride the same contract as the flags.
+for env_var in PC_PROFILE PC_PROF_HZ PC_ENGINE; do
     if ! grep -q -- "$env_var" README.md; then
         echo "FAIL: env var $env_var is missing from README.md"
         exit 1
@@ -218,9 +219,8 @@ done
 
 echo "== gate 11: extreme-scale smoke + committed scale benchmarks =="
 # 64-server BeeGFS cell (4x the paper's largest configuration): the
-# report must not depend on the thread count or on which hot-path
-# implementation produced it. BeeGFS/ARVR finds bugs, so the cells
-# exit 1 by design.
+# report must not depend on the thread count or on which engine
+# produced it. BeeGFS/ARVR finds bugs, so the cells exit 1 by design.
 cat > "$tmp/scale.conf" <<'EOF'
 meta_servers = 32
 storage_servers = 32
@@ -232,20 +232,23 @@ target/release/paracrash $scale_cell > "$tmp/scale-par.txt" || [ $? -eq 1 ]
 PC_THREADS=1 target/release/paracrash $scale_cell > "$tmp/scale-seq.txt" || [ $? -eq 1 ]
 diff "$tmp/scale-par.txt" "$tmp/scale-seq.txt"
 # shellcheck disable=SC2086
-PC_NAIVE_SYMS=1 target/release/paracrash $scale_cell > "$tmp/scale-syms.txt" || [ $? -eq 1 ]
-diff "$tmp/scale-par.txt" "$tmp/scale-syms.txt"
-# shellcheck disable=SC2086
-PC_NAIVE_BATCH=1 target/release/paracrash $scale_cell > "$tmp/scale-batch.txt" || [ $? -eq 1 ]
-diff "$tmp/scale-par.txt" "$tmp/scale-batch.txt"
+PC_ENGINE=reference target/release/paracrash $scale_cell > "$tmp/scale-ref.txt" || [ $? -eq 1 ]
+diff "$tmp/scale-par.txt" "$tmp/scale-ref.txt"
 # The zero-fault matrix must still find exactly the fifteen Table 3
-# bugs with every fast path swapped for its oracle at once.
-PC_NAIVE_SYMS=1 PC_NAIVE_BATCH=1 target/release/table3 > "$tmp/table3-naive.txt"
-naive_reproduced=$(grep -c "REPRODUCED" "$tmp/table3-naive.txt")
-if [ "$naive_reproduced" -ne 15 ] || grep -q "missing" "$tmp/table3-naive.txt"; then
-    echo "FAIL: oracle-mode matrix does not reproduce the 15 Table 3 bugs"
-    grep -E "REPRODUCED|missing" "$tmp/table3-naive.txt"
+# bugs under the reference engine, byte-identically to gate 6's run.
+PC_ENGINE=reference target/release/table3 > "$tmp/table3-ref.txt"
+ref_reproduced=$(grep -c "REPRODUCED" "$tmp/table3-ref.txt")
+if [ "$ref_reproduced" -ne 15 ] || grep -q "missing" "$tmp/table3-ref.txt"; then
+    echo "FAIL: reference-engine matrix does not reproduce the 15 Table 3 bugs"
+    grep -E "REPRODUCED|missing" "$tmp/table3-ref.txt"
     exit 1
 fi
+diff "$tmp/table3.txt" "$tmp/table3-ref.txt"
+# The PR-tier sweep collects representative-state digests, so this is
+# the run that takes the reference engine's string-walk digest end to
+# end; it must print the pinned corpus.
+PC_ENGINE=reference target/release/paracrash fuzz > "$tmp/fuzz-ref.txt" 2> /dev/null
+diff "$tmp/fuzz-ref.txt" crates/bench/tests/expected_fuzz_pr_tier.txt
 # Committed scale numbers: static invariants plus a live re-measurement
 # of the batched engine within a generous 2x regression band.
 target/release/scale-check BENCH_scale.json --live

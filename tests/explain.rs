@@ -3,9 +3,12 @@
 //! multi-structure atomicity (bug 12), partially-persisted journal
 //! group (bug 3) — each must get a minimal witness, violated-edge
 //! output, and well-formed DOT/JSON exports. Shrinking must be
-//! deterministic: two runs produce byte-identical bundles.
+//! deterministic: two runs produce byte-identical bundles, and the
+//! reference engine's per-probe shrinking must agree with the fast
+//! engine's prefix-shared shrinking.
 
-use paracrash::{CheckConfig, CheckOutcome, EdgeKind, LayerVerdict};
+use paracrash::explain::ShrinkStats;
+use paracrash::{BugExplanation, CheckConfig, CheckOutcome, EdgeKind, Engine, LayerVerdict};
 use paracrash_suite::check_with;
 use workloads::{FsKind, Params, Program};
 
@@ -190,4 +193,54 @@ fn shrinking_is_deterministic() {
     );
     assert_eq!(a.canonical_report(), plain.canonical_report());
     assert!(plain.explanations.is_empty(), "explain off by default");
+}
+
+/// A bundle's JSON with the shrink engine's own accounting (engine
+/// name, forks, storage events replayed) blanked out.
+fn engine_free_json(e: &BugExplanation) -> String {
+    let mut e = e.clone();
+    e.shrink = ShrinkStats {
+        engine: Engine::Fast,
+        forks: 0,
+        ops_replayed: 0,
+        ..e.shrink
+    };
+    e.to_json().pretty()
+}
+
+/// Per-probe shrinking under the reference engine must find the same
+/// minimal witnesses and violated edges as prefix-shared shrinking on
+/// every golden cell (bugs 1, 12 and 3); the bundles may differ only in
+/// the shrink engine's own accounting.
+#[test]
+fn reference_engine_shrinks_to_the_same_witnesses() {
+    for (program, fs) in [
+        (Program::Arvr, FsKind::BeeGfs),
+        (Program::H5Rename, FsKind::BeeGfs),
+        (Program::Arvr, FsKind::Gpfs),
+    ] {
+        let fast = check_explained(program, fs);
+        let reference = check_with(
+            program,
+            fs,
+            &Params::quick(),
+            &CheckConfig {
+                explain: true,
+                engine: Engine::Reference,
+                ..CheckConfig::paper_default()
+            },
+        );
+        assert_eq!(fast.canonical_report(), reference.canonical_report());
+        assert!(!fast.explanations.is_empty());
+        assert_eq!(fast.explanations.len(), reference.explanations.len());
+        for (f, r) in fast.explanations.iter().zip(&reference.explanations) {
+            assert_eq!(
+                (f.shrink.engine, r.shrink.engine),
+                (Engine::Fast, Engine::Reference)
+            );
+            assert_eq!(f.minimal_witness, r.minimal_witness, "{}", f.signature);
+            assert_eq!(f.violated_edges, r.violated_edges, "{}", f.signature);
+            assert_eq!(engine_free_json(f), engine_free_json(r));
+        }
+    }
 }

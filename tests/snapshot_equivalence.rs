@@ -1,39 +1,27 @@
-//! The COW prefix-sharing replay engine and the clone-everything oracle
-//! (`PC_NAIVE_SNAPSHOTS=1`) must be observationally identical: same bug
-//! reports, same state counts, same simulated cost model. The engines
-//! differ only in *how* crash states are materialized — the COW engine
-//! forks shared prefixes, the oracle deep-clones and replays from
-//! scratch — never in *what* they materialize.
+//! The fast engine and the reference engine (`CheckConfig::engine`)
+//! must be observationally identical: same bug reports, same state
+//! counts, same simulated cost model, same representative-state
+//! digests. The engines differ only in *how* crash states are
+//! materialized, recovered and digested — the fast engine forks shared
+//! prefixes off a COW prefix tree, recovers once per subtree
+//! representative and digests interned trees; the reference engine
+//! deep-clones and replays every state from scratch, recovers every
+//! state on its own and digests by string walk — never in *what* they
+//! materialize.
 //!
-//! The same contract holds one layer up: the subtree-batched verdict
-//! engine (one recovery per `SnapshotPlan::rep` representative) and the
-//! per-state oracle (`PC_NAIVE_BATCH=1`, one recovery per crash state)
-//! must produce byte-identical canonical reports on every PFS model,
-//! every journal mode, and under chaos faults.
-//!
-//! `scripts/verify.sh` runs this suite once with `PC_THREADS=1` and once
-//! parallel, so the guarantee is also checked against the thread pool.
+//! The contract is checked on every PFS model, every journal mode, and
+//! under chaos faults. `scripts/verify.sh` runs this suite once with
+//! `PC_THREADS=1` and once parallel, so the guarantee is also checked
+//! against the thread pool.
 
-use paracrash::{CheckConfig, CheckOutcome, ExploreMode};
+use paracrash::{CheckConfig, CheckOutcome, Engine, ExploreMode};
 use paracrash_suite::check_with;
 use paracrash_suite::simnet::FaultConfig;
+use pc_rt::prop_assert_eq;
 use pc_rt::proptest::{gen_vec, run, Config};
 use pc_rt::rng::Rng;
-use pc_rt::{prop_assert, prop_assert_eq};
 use simfs::{FsOp, FsState, JournalMode};
-use std::sync::{Mutex, MutexGuard, OnceLock};
 use workloads::{FsKind, Params, Program};
-
-/// Serialize the tests that toggle process-global engine-selection env
-/// vars (`PC_NAIVE_SNAPSHOTS`, `PC_NAIVE_BATCH`): the harness runs
-/// `#[test]`s on threads, and a toggle leaking mid-run into a sibling
-/// test would compare runs from a mix of engines.
-fn env_lock() -> MutexGuard<'static, ()> {
-    static LOCK: OnceLock<Mutex<()>> = OnceLock::new();
-    LOCK.get_or_init(Mutex::default)
-        .lock()
-        .unwrap_or_else(|e| e.into_inner())
-}
 
 /// Everything an engine is allowed to influence, rendered for comparison.
 /// `wall_seconds` is deliberately excluded — it is the one field that
@@ -58,12 +46,37 @@ fn observable(outcome: &CheckOutcome) -> String {
     )
 }
 
+/// One cell under both engines: the canonical report (the full
+/// user-facing output) must be byte-identical, and so must every
+/// engine-reachable statistic.
+fn assert_engines_agree(program: Program, fs: FsKind, params: &Params, cfg: &CheckConfig) {
+    let fast = check_with(program, fs, params, cfg);
+    let reference = check_with(
+        program,
+        fs,
+        params,
+        &CheckConfig {
+            engine: Engine::Reference,
+            ..cfg.clone()
+        },
+    );
+    assert_eq!(
+        fast.canonical_report(),
+        reference.canonical_report(),
+        "engines diverged for {} on {} ({}, journal {:?})",
+        program.name(),
+        fs.name(),
+        cfg.mode.as_str(),
+        params.journal,
+    );
+    assert_eq!(observable(&fast), observable(&reference));
+    assert!(fast.stats.states_total > 0);
+}
+
 /// Representative workloads, one per PFS model plus the ext4 control,
-/// under both engines. A single `#[test]` because `PC_NAIVE_SNAPSHOTS`
-/// is process-global and the harness runs tests on threads.
+/// in brute-force and optimized exploration.
 #[test]
 fn engines_report_identical_outcomes() {
-    let _env = env_lock();
     let cells: [(Program, FsKind, ExploreMode); 7] = [
         (Program::Arvr, FsKind::BeeGfs, ExploreMode::BruteForce),
         (Program::Arvr, FsKind::BeeGfs, ExploreMode::Optimized),
@@ -76,60 +89,27 @@ fn engines_report_identical_outcomes() {
     let params = Params::quick();
     for (program, fs, mode) in cells {
         // Representative-state digests are engine-derived (prefix-tree
-        // terminals vs per-distinct-sequence naive materialization), so
-        // they are part of the equivalence contract: collect them here
-        // and let `observable` compare the exact digest sets.
+        // terminals vs per-distinct-sequence reference materialization
+        // and string-walk digests), so they are part of the equivalence
+        // contract: collect them here and let `observable` compare the
+        // exact digest sets.
         let cfg = CheckConfig {
             mode,
             collect_rep_digests: true,
             ..CheckConfig::paper_default()
         };
-        std::env::remove_var("PC_NAIVE_SNAPSHOTS");
-        let cow = check_with(program, fs, &params, &cfg);
-        std::env::set_var("PC_NAIVE_SNAPSHOTS", "1");
-        let naive = check_with(program, fs, &params, &cfg);
-        std::env::remove_var("PC_NAIVE_SNAPSHOTS");
-        assert_eq!(
-            observable(&cow),
-            observable(&naive),
-            "engines diverged for {} on {} ({})",
-            program.name(),
-            fs.name(),
-            mode.as_str()
-        );
-        assert!(cow.stats.states_total > 0);
+        assert_engines_agree(program, fs, &params, &cfg);
     }
 }
 
-/// One cell under the batched verdict engine and under the per-state
-/// oracle; the canonical report (the full user-facing output) must be
-/// byte-identical, and so must every engine-reachable statistic.
-fn assert_batched_matches_oracle(program: Program, fs: FsKind, params: &Params, cfg: &CheckConfig) {
-    std::env::remove_var("PC_NAIVE_BATCH");
-    let batched = check_with(program, fs, params, cfg);
-    std::env::set_var("PC_NAIVE_BATCH", "1");
-    let oracle = check_with(program, fs, params, cfg);
-    std::env::remove_var("PC_NAIVE_BATCH");
-    assert_eq!(
-        batched.canonical_report(),
-        oracle.canonical_report(),
-        "batched vs per-state reports diverged for {} on {} (journal {:?})",
-        program.name(),
-        fs.name(),
-        params.journal,
-    );
-    assert_eq!(observable(&batched), observable(&oracle));
-    assert!(batched.stats.states_total > 0);
-}
-
-/// The batched engine shares one recovery across each snapshot-plan
-/// subtree; the oracle recovers every state individually. Identical
-/// reports across all five PFS models × all journal modes, and under a
-/// chaos fault plane (torn writes force the batched engine onto its
-/// per-state fallback for victim states while still batching the rest).
+/// The fast engine shares one recovery across each snapshot-plan
+/// subtree; the reference engine recovers every state individually.
+/// Identical reports across all five PFS models × all journal modes,
+/// and under a chaos fault plane (torn writes force the fast engine
+/// onto its per-state fallback for victim states while still batching
+/// the rest).
 #[test]
 fn batched_verdicts_match_per_state_oracle() {
-    let _env = env_lock();
     let models = [
         FsKind::BeeGfs,
         FsKind::OrangeFs,
@@ -147,7 +127,7 @@ fn batched_verdicts_match_per_state_oracle() {
     for fs in models {
         for journal in journals {
             let params = Params::quick().with_journal(journal);
-            assert_batched_matches_oracle(Program::Arvr, fs, &params, &cfg);
+            assert_engines_agree(Program::Arvr, fs, &params, &cfg);
         }
     }
     // Chaos faults: delivery noise plus torn writes, driving both the
@@ -160,7 +140,7 @@ fn batched_verdicts_match_per_state_oracle() {
         ..CheckConfig::paper_default()
     };
     for fs in models {
-        assert_batched_matches_oracle(Program::Arvr, fs, &params, &chaos_cfg);
+        assert_engines_agree(Program::Arvr, fs, &params, &chaos_cfg);
     }
 }
 
@@ -202,9 +182,10 @@ fn arb_ops(rng: &mut Rng, size: usize) -> (Vec<FsOp>, Vec<FsOp>) {
     (gen_seq(rng), gen_seq(rng))
 }
 
-/// COW fork + mutate + hash must equal naive deep-clone + mutate + hash
-/// for arbitrary `FsOp` sequences, and the shared parent must be
-/// unaffected by the fork's mutations.
+/// COW fork + mutate + hash must equal deep-clone + mutate + hash for
+/// arbitrary `FsOp` sequences (digested by both the fast and the
+/// reference digest), and the shared parent must be unaffected by the
+/// fork's mutations.
 #[test]
 fn cow_fork_equals_naive_clone_under_random_ops() {
     run(
@@ -223,7 +204,7 @@ fn cow_fork_equals_naive_clone_under_random_ops() {
             prop_assert_eq!(fork_failures, deep_failures);
             prop_assert_eq!(&fork, &deep);
             prop_assert_eq!(fork.digest(), deep.digest());
-            prop_assert!(fork.same_tree(&deep));
+            prop_assert_eq!(fork.digest(), deep.digest_reference());
             prop_assert_eq!(base.digest(), base_digest);
             Ok(())
         },
